@@ -7,7 +7,7 @@ Compares FireLedger with and without the header/body separation (Section
 import pytest
 
 from repro import FireLedgerConfig, run_cluster
-from repro.faults.crash import CrashSchedule
+from repro.faults import FaultSchedule, crash
 
 DURATION = 0.5
 WARMUP = 0.1
@@ -37,10 +37,10 @@ def test_ablation_failure_detector_under_crashes(benchmark):
     """The benign FD should keep crash-fault throughput at least as high."""
     def scenario():
         config = FireLedgerConfig(n_nodes=4, workers=1, batch_size=100, tx_size=512)
-        crash = CrashSchedule.crash_f_nodes(4, 1, at=WARMUP / 2)
-        with_fd = _run(config, crash_schedule=crash)
+        faults = FaultSchedule((crash(3, at=WARMUP / 2),))
+        with_fd = _run(config, faults=faults)
         without = _run(config.with_overrides(failure_detector=False),
-                       crash_schedule=crash)
+                       faults=faults)
         return {"with_fd_tps": with_fd.tps, "without_fd_tps": without.tps}
 
     result = benchmark.pedantic(scenario, rounds=1, iterations=1)

@@ -13,6 +13,7 @@ Run with::
 
 from repro import FireLedgerConfig, run_cluster
 from repro.experiments import ExperimentScale, format_rows, registry
+from repro.faults import FaultSchedule, byzantine
 
 
 def main() -> None:
@@ -20,7 +21,7 @@ def main() -> None:
 
     honest = run_cluster(config, duration=1.5, warmup=0.2, seed=9)
     attacked = run_cluster(config, duration=1.5, warmup=0.2, seed=9,
-                           byzantine_nodes=frozenset({3}))
+                           faults=FaultSchedule((byzantine(3),)))
 
     print("FireLedger under an equivocating proposer (node 3)")
     print(f"  fault-free throughput : {honest.tps:,.0f} tps, "

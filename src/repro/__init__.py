@@ -8,10 +8,11 @@ here:
 * :class:`~repro.core.config.FireLedgerConfig` — deployment parameters,
 * :func:`~repro.core.cluster.run_cluster` — build/run/measure a cluster
   under any registered :class:`~repro.protocols.base.ConsensusProtocol`,
+  with one :class:`~repro.faults.FaultSchedule` as its fault input,
 * :class:`~repro.core.flo.FLONode` / :class:`~repro.core.fireledger.FireLedgerWorker`
   — the orchestrator and the protocol instance,
-* the ``protocols`` subpackage — the pluggable protocol registry
-  (FireLedger plus the HotStuff / BFT-SMaRt baselines from ``baselines``,
+* the ``protocols`` subpackage — the pluggable protocol registry, one
+  module per protocol (FireLedger plus the HotStuff / BFT-SMaRt baselines,
   composable into ``multiplexed(P, lanes=M)`` consensus lanes),
 * the ``experiments`` subpackage — one driver per table/figure of the paper.
 """

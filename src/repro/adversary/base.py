@@ -22,10 +22,11 @@ The contract hooks the three seams every protocol already has:
   timed liveness events (churn) against the live network.
 
 Strategies are registered by name (:func:`register` / :func:`get` /
-:func:`names`) and built either directly or from a scenario's
-``[adversary]`` spec block.  A strategy instance is bound to one run: it
-holds the Byzantine membership, the (optional) timed activity windows
-from the fault schedule, and the per-run counters it reports into
+:func:`names`).  ``run_cluster`` builds one per run, from a strategy name
+or a scenario's ``[adversary]`` spec block, and binds it to the run's
+:class:`~repro.faults.FaultSchedule`.  A strategy instance is bound to one
+run: it holds the Byzantine membership, the (optional) timed activity
+windows from the fault schedule, and the per-run counters it reports into
 ``ClusterResult.breakdown`` under ``adversary_``-prefixed keys.
 """
 
@@ -77,7 +78,7 @@ class AdversaryStrategy:
 
         A silent node also has its inbound traffic dropped at the network
         layer, like a crashed node — see
-        :meth:`repro.baselines.replica.PooledReplicaMixin.silence`.
+        :meth:`repro.protocols.base.PooledReplicaMixin.silence`.
         """
         return False
 

@@ -4,10 +4,11 @@ This is the entry point every benchmark, example and scenario uses.
 :func:`run_cluster` wires the simulation environment, network, key store and
 the chosen protocol's nodes together identically for **every** registered
 :class:`~repro.protocols.base.ConsensusProtocol` (FireLedger, HotStuff,
-BFT-SMaRt, and any future plugin): it optionally injects crash/recover
-schedules, Byzantine membership, network fault controllers and client
-workloads, runs the simulation for a configured duration and aggregates the
-protocol's per-node metric hooks into one unified :class:`ClusterResult`.
+BFT-SMaRt, and any future plugin): it installs the run's one
+:class:`~repro.faults.FaultSchedule` (crash/recover events, network fault
+windows, Byzantine membership), lets a setup hook attach client workloads,
+runs the simulation for a configured duration and aggregates the protocol's
+per-node metric hooks into one unified :class:`ClusterResult`.
 
 The runner owns the delivery seam end-to-end: after the protocol builds its
 nodes, the runner subscribes each node's
@@ -22,14 +23,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.core.config import FireLedgerConfig
 from repro.crypto.keys import KeyStore
-from repro.faults.crash import CrashSchedule
+from repro.faults import FaultSchedule
 from repro.metrics.summary import LatencyHistogram, LatencySummary, ThroughputSummary
-from repro.net.faults import FaultController
-from repro.net.latency import GeoDistributedLatency, LatencyModel, SingleDatacenterLatency
+from repro.net.latency import LatencyModel, SingleDatacenterLatency
 from repro.net.network import Network, NetworkStats
 from repro.sim import Environment
 
@@ -143,14 +143,10 @@ def run_cluster(config: FireLedgerConfig,
                 warmup: float = 0.5,
                 seed: int = 0,
                 latency_model: Optional[LatencyModel] = None,
-                geo_distributed: bool = False,
-                crash_schedule: Optional[CrashSchedule] = None,
-                byzantine_nodes: Optional[frozenset[int]] = None,
+                faults: Optional[FaultSchedule] = None,
                 adversary: "Optional[str | object]" = None,
-                fault_controller: Optional[FaultController] = None,
                 latency_trim: float = 0.0,
                 setup: Optional[Callable[[Environment, Network, list], None]] = None,
-                excluded_nodes: Optional[Iterable[int]] = None,
                 backend: str = "sim") -> ClusterResult:
     """Build, run and summarise one cluster under any registered protocol.
 
@@ -158,27 +154,31 @@ def run_cluster(config: FireLedgerConfig,
     ``"bftsmart"``) or a :class:`~repro.protocols.base.ConsensusProtocol`
     instance.  The remaining parameters mirror the paper's evaluation levers
     and apply to every protocol: ``config`` carries the Table 2 parameters,
-    ``geo_distributed`` switches to the ten-region latency matrix of Section
-    7.5, ``crash_schedule`` and ``byzantine_nodes`` reproduce Sections
-    7.4.1/7.4.2, ``warmup`` excludes start-up effects from the measured
-    window.
+    ``latency_model`` defaults to the single data center
+    (:class:`~repro.net.latency.GeoDistributedLatency` is the ten-region
+    matrix of Section 7.5), ``warmup`` excludes start-up effects from the
+    measured window.
+
+    ``faults`` is the run's one fault timeline
+    (:class:`~repro.faults.FaultSchedule`; Sections 7.4.1/7.4.2).  It is
+    validated against ``config.n_nodes`` before anything is built, and it
+    supplies the network fault controller (partition / loss / slow
+    windows), the timed crash/recover events, the Byzantine membership and
+    its windows, and the nodes left out of the aggregated metrics
+    (Byzantine nodes and nodes still crashed at the end).
 
     ``adversary`` selects how the Byzantine nodes misbehave: a registered
-    :mod:`repro.adversary` strategy name, or a bound
-    :class:`~repro.adversary.base.AdversaryStrategy` instance (the scenario
-    runner passes one carrying the fault schedule's timed windows).  With
-    Byzantine nodes and no explicit adversary the default strategy is
-    ``equivocate`` — the pre-adversary-layer behaviour (Section 7.4.2's
-    equivocating proposer on FireLedger, fail-stop silence on the
-    baselines).
+    :mod:`repro.adversary` strategy name, or a spec with a
+    ``build(nodes, windows=...)`` method such as the scenario layer's
+    :class:`~repro.scenarios.spec.AdversarySpec`.  It is bound to the
+    schedule's Byzantine membership and windows, and is inert without
+    Byzantine nodes.  The default strategy is ``equivocate`` — Section
+    7.4.2's equivocating proposer on FireLedger, fail-stop silence on the
+    leader-driven protocols.
 
-    ``setup`` is a hook invoked after the nodes are built and started but
-    before the simulation runs; the declarative scenario layer uses it to
-    attach client workloads and install timed fault events (crash *and*
-    recover, partitions, loss windows).  ``excluded_nodes`` extends the set
-    of nodes left out of the aggregated metrics beyond the crash schedule's
-    victims and the Byzantine nodes — e.g. nodes a fault timeline crashes
-    without ever recovering.
+    ``setup`` is a hook invoked after the nodes are built and started and
+    the faults installed, but before the simulation runs; the declarative
+    scenario layer uses it to attach client workloads.
 
     ``backend`` selects the Environment/Network implementation pair:
     ``"sim"`` (the default) is the deterministic discrete-event kernel;
@@ -204,11 +204,13 @@ def run_cluster(config: FireLedgerConfig,
 
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    faults = FaultSchedule() if faults is None else faults
+    faults.validate(config.n_nodes)
+    fault_controller = faults.controller()
 
     rng = random.Random(seed)
     if latency_model is None:
-        latency_model = (GeoDistributedLatency() if geo_distributed
-                         else SingleDatacenterLatency())
+        latency_model = SingleDatacenterLatency()
     network_rng = random.Random(rng.randrange(2 ** 62))
     if backend == "realtime":
         from repro.runtime import RealtimeEnvironment, RealtimeNetwork
@@ -225,23 +227,22 @@ def run_cluster(config: FireLedgerConfig,
                           fault_controller=fault_controller)
     keystore = KeyStore(config.n_nodes)
 
-    byzantine = frozenset(byzantine_nodes or ())
     strategy = None
-    if adversary is not None or byzantine:
+    if faults.byzantine_nodes:
         from repro import adversary as adversary_lib
 
-        if isinstance(adversary, adversary_lib.AdversaryStrategy):
-            strategy = adversary
-        else:
+        nodes, windows = faults.byzantine_nodes, faults.byzantine_windows()
+        if adversary is None or isinstance(adversary, str):
             strategy = adversary_lib.build(
-                adversary or adversary_lib.DEFAULT_STRATEGY, nodes=byzantine)
-        if not byzantine:
-            byzantine = strategy.nodes
+                adversary or adversary_lib.DEFAULT_STRATEGY,
+                nodes=nodes, windows=windows)
+        else:
+            strategy = adversary.build(nodes, windows=windows)
         # Traffic-shaping strategies wrap the network before any node is
         # built, so every protocol message crosses the strategy's proxy.
         network = strategy.wrap_network(network)
     nodes = impl.build_nodes(env, network, keystore, config, rng,
-                             byzantine_nodes=byzantine, adversary=strategy)
+                             adversary=strategy)
     # The delivery seam: attach one executor per node by subscribing it to
     # the node's stream — uniformly, whatever the protocol.  Protocols keep
     # their streams' earlier subscribers (metric recorders, lane merges)
@@ -263,8 +264,7 @@ def run_cluster(config: FireLedgerConfig,
 
     if strategy is not None:
         strategy.install(env, network)
-    if crash_schedule is not None:
-        crash_schedule.install(env, network)
+    faults.install(env, network)
     if setup is not None:
         setup(env, network, nodes)
 
@@ -277,12 +277,7 @@ def run_cluster(config: FireLedgerConfig,
         if closer is not None:
             closer()
 
-    excluded = set()
-    if crash_schedule is not None:
-        excluded |= set(crash_schedule.crashed_nodes)
-    excluded |= byzantine
-    if excluded_nodes is not None:
-        excluded |= set(excluded_nodes)
+    excluded = faults.excluded_nodes()
     honest_nodes = [node for node in nodes if node.node_id not in excluded]
     correct_nodes = honest_nodes or nodes
 

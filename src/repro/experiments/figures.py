@@ -18,12 +18,24 @@ from repro.core.cluster import run_cluster
 from repro.core.config import FireLedgerConfig
 from repro.crypto.cost_model import C5_4XLARGE, M5_XLARGE, CryptoCostModel
 from repro.experiments.harness import ExperimentScale
-from repro.faults.crash import CrashSchedule
+from repro.faults import FaultSchedule, byzantine, crash
 from repro.metrics.summary import cdf_points
+from repro.net.latency import GeoDistributedLatency
 
 
 def _scale(scale: Optional[ExperimentScale]) -> ExperimentScale:
     return scale or ExperimentScale()
+
+
+def _crash_f(config: FireLedgerConfig, scale: ExperimentScale) -> FaultSchedule:
+    """The paper's benign scenario: the last f nodes crash mid-warmup."""
+    n = config.n_nodes
+    return FaultSchedule((crash(range(n - config.f, n), at=scale.warmup / 2),))
+
+
+def _last_node_byzantine(config: FireLedgerConfig) -> FaultSchedule:
+    """Section 7.4.2: the last node equivocates for the whole run."""
+    return FaultSchedule((byzantine(config.n_nodes - 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +64,9 @@ def table1_costs(scale: Optional[ExperimentScale] = None) -> list[dict]:
     })
 
     # Omission failures: crash one node (benign), fallback path exercised.
-    crash = CrashSchedule.crash_f_nodes(config.n_nodes, config.f, at=scale.warmup / 2)
     degraded = run_cluster(config, duration=scale.duration,
                            warmup=scale.warmup, seed=scale.seed,
-                           crash_schedule=crash)
+                           faults=_crash_f(config, scale))
     rows.append({
         "mode": "omission/crash",
         "communication_steps": "2 + OBBC fallback",
@@ -67,14 +78,14 @@ def table1_costs(scale: Optional[ExperimentScale] = None) -> list[dict]:
     })
 
     # Byzantine failures: equivocation triggers RB + n parallel AB (recovery).
-    byzantine = run_cluster(config, duration=scale.duration,
-                            warmup=scale.warmup, seed=scale.seed,
-                            byzantine_nodes=frozenset({config.n_nodes - 1}))
+    equivocated = run_cluster(config, duration=scale.duration,
+                              warmup=scale.warmup, seed=scale.seed,
+                              faults=_last_node_byzantine(config))
     rows.append({
         "mode": "byzantine",
         "communication_steps": "RB + n parallel AB",
-        "recoveries": byzantine.recoveries,
-        "recoveries_per_second": round(byzantine.recoveries_per_second, 2),
+        "recoveries": equivocated.recoveries,
+        "recoveries_per_second": round(equivocated.recoveries_per_second, 2),
         "finality_latency_rounds": config.f + 1,
         "paper": "RB + n AB, no extra latency in rounds",
     })
@@ -223,12 +234,10 @@ def figure11_crash_failures(scale: Optional[ExperimentScale] = None) -> list[dic
             for workers in scale.workers_sweep[:2]:
                 config = FireLedgerConfig(n_nodes=n_nodes, workers=workers,
                                           batch_size=batch_size, tx_size=512)
-                crash = CrashSchedule.crash_f_nodes(n_nodes, config.f,
-                                                    at=scale.warmup / 2)
                 result = run_cluster(config, duration=scale.duration,
                                      warmup=scale.warmup,
                                      seed=scale.seed,
-                                     crash_schedule=crash)
+                                     faults=_crash_f(config, scale))
                 rows.append({"n": n_nodes, "f_crashed": config.f,
                              "batch": batch_size, "workers": workers,
                              "tps": round(result.tps),
@@ -246,11 +255,10 @@ def figure12_byzantine_failures(scale: Optional[ExperimentScale] = None) -> list
             for workers in scale.workers_sweep[:2]:
                 config = FireLedgerConfig(n_nodes=n_nodes, workers=workers,
                                           batch_size=batch_size, tx_size=512)
-                byzantine = frozenset({n_nodes - 1})
                 result = run_cluster(config, duration=scale.duration,
                                      warmup=scale.warmup,
                                      seed=scale.seed,
-                                     byzantine_nodes=byzantine)
+                                     faults=_last_node_byzantine(config))
                 rows.append({"n": n_nodes, "batch": batch_size, "workers": workers,
                              "tps": round(result.tps),
                              "recoveries_per_sec": round(result.recoveries_per_second, 2),
@@ -272,7 +280,7 @@ def figure13_bps_multi_dc(scale: Optional[ExperimentScale] = None) -> list[dict]
                                       batch_size=1, tx_size=512, fill_blocks=False)
             result = run_cluster(config, duration=scale.duration * 2,
                                  warmup=scale.warmup, seed=scale.seed,
-                                 geo_distributed=True)
+                                 latency_model=GeoDistributedLatency())
             rows.append({"n": n_nodes, "workers": workers,
                          "bps": round(result.bps, 1),
                          "expectation": "well under 10% of the single-DC bps"})
@@ -291,7 +299,7 @@ def figure14_tps_multi_dc(scale: Optional[ExperimentScale] = None) -> list[dict]
                 result = run_cluster(config, duration=scale.duration * 2,
                                      warmup=scale.warmup,
                                      seed=scale.seed,
-                                     geo_distributed=True)
+                                     latency_model=GeoDistributedLatency())
                 rows.append({"n": n_nodes, "batch": batch_size, "workers": workers,
                              "tps": round(result.tps),
                              "expectation": "around 30K tps at the paper's best configuration"})
@@ -310,7 +318,7 @@ def figure15_latency_multi_dc(scale: Optional[ExperimentScale] = None) -> list[d
                 result = run_cluster(config, duration=scale.duration * 2,
                                      warmup=scale.warmup,
                                      seed=scale.seed,
-                                     geo_distributed=True,
+                                     latency_model=GeoDistributedLatency(),
                                      latency_trim=0.05)
                 rows.append({"n": n_nodes, "workers": workers, "batch": batch_size,
                              "latency_mean_s": round(result.latency.mean, 3),

@@ -1,13 +1,12 @@
-"""One fault timeline for a whole scenario.
+"""One fault timeline for a whole run.
 
-Before this module existed the repo had two disjoint fault mechanisms: the
-timed-but-permanent :class:`~repro.faults.crash.CrashSchedule` and the
-windowed-but-static network :mod:`~repro.net.faults` controllers, plus a
-``byzantine_nodes`` argument on the cluster runner.  A :class:`FaultSchedule`
-unifies all three into a single ordered list of :class:`FaultPhase` events —
+A :class:`FaultSchedule` is an ordered list of :class:`FaultPhase` events —
 timed crashes *and recoveries*, partition / loss / slow-link windows, and
-Byzantine membership — that a scenario spec can declare and the runner can
-install in one call.
+Byzantine membership windows.  It is the only fault input of
+:func:`repro.core.cluster.run_cluster`, which validates it against the
+cluster size and installs it in one place; scenario specs declare one, and
+the figure drivers build theirs from the phase constructors below
+(``crash(range(n - f, n), at=...)``, ``byzantine(n - 1)``).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class FaultPhase:
     over the window; ``slow`` adds ``extra_delay`` seconds per message over
     the window; ``byzantine`` marks ``nodes`` as adversary-controlled over
     ``at``..``until`` (the defaults cover the whole run).  How windowed
-    membership is honoured is up to the scenario's adversary strategy:
+    membership is honoured is up to the run's adversary strategy:
     traffic/churn strategies respect the window exactly, while proposal and
     liveness strategies (equivocate, silent) treat any listed node as
     Byzantine for the whole run — see :mod:`repro.adversary`.
@@ -122,8 +121,8 @@ class FaultSchedule:
       (:meth:`install`), so the same node can crash, recover and crash again;
     * windowed network phases compile into one composite
       :class:`~repro.net.faults.FaultController` (:meth:`controller`);
-    * :attr:`byzantine_nodes` / :meth:`byzantine_windows` bind the
-      scenario's adversary strategy at cluster build.
+    * :attr:`byzantine_nodes` / :meth:`byzantine_windows` bind the run's
+      adversary strategy at cluster build.
     """
 
     phases: tuple[FaultPhase, ...] = ()
@@ -132,23 +131,12 @@ class FaultSchedule:
         object.__setattr__(self, "phases", tuple(
             phase if isinstance(phase, FaultPhase) else FaultPhase.from_dict(phase)
             for phase in self.phases))
-        spans: dict[int, list[tuple[float, float]]] = {}
-        for phase in self.phases:
-            if phase.kind != "byzantine":
-                continue
-            for node in phase.nodes:
-                spans.setdefault(node, []).append((phase.at, phase.until))
-        for node, windows in spans.items():
-            windows.sort()
+        for node, windows in self.byzantine_windows().items():
             for (_, prev_until), (next_at, _) in zip(windows, windows[1:]):
                 if next_at < prev_until:
                     raise ValueError(
                         f"overlapping byzantine windows for node {node}; "
                         f"merge them into one phase")
-
-    @classmethod
-    def from_dicts(cls, phases: Iterable[Mapping]) -> "FaultSchedule":
-        return cls(phases=tuple(FaultPhase.from_dict(p) for p in phases))
 
     def validate(self, n_nodes: int) -> None:
         """Check every referenced node id fits a cluster of ``n_nodes``."""

@@ -6,10 +6,11 @@ into one explicit contract.  A node owns a :class:`DeliveryStream` and pushes
 one :class:`Delivery` per block it releases to clients, in its local total
 order; consumers (the :class:`~repro.ledger.state.LedgerExecutor`, metric
 counters, the lane merge of :mod:`repro.protocols.multiplexed`) subscribe to
-the stream.  The classes live here, at the bottom of the layer graph, so the
-protocol implementations in :mod:`repro.core` / :mod:`repro.baselines` can
-produce onto the stream without importing the protocol registry; the public
-contract is re-exported by :mod:`repro.protocols.base`.
+the stream.  The classes live here, at the bottom of the layer graph, so
+FireLedger's workers in :mod:`repro.core` can produce onto the stream
+without importing the protocol registry; the public contract is
+re-exported by :mod:`repro.protocols.base`, next to the HotStuff and
+BFT-SMaRt replicas in :mod:`repro.protocols`.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Pluggable consensus protocols for the cluster runner.
 
-One :class:`~repro.protocols.base.ConsensusProtocol` implementation per
-protocol, registered by name so ``run_cluster(config, protocol="hotstuff")``,
-scenario specs (``protocol = "bftsmart"``) and the ``--protocol`` sweep axis
-all resolve through the same registry.  Shipped protocols:
+One module per protocol with its
+:class:`~repro.protocols.base.ConsensusProtocol` adapter (the HotStuff and
+BFT-SMaRt modules also hold their replica logic; FireLedger's lives in
+:mod:`repro.core`), registered by name so
+``run_cluster(config, protocol="hotstuff")``, scenario specs
+(``protocol = "bftsmart"``) and the ``--protocol`` sweep axis all resolve
+through the same registry.  Shipped protocols:
 
 * ``fireledger`` — the paper's protocol (FLO nodes running FireLedger
   worker instances);

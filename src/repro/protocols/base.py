@@ -44,7 +44,9 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.crypto.cost_model import CryptoCostModel
 from repro.ledger.delivery import Delivery, DeliveryStream
+from repro.ledger.transaction import Transaction
 
 if TYPE_CHECKING:
     from repro.core.config import FireLedgerConfig
@@ -54,8 +56,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ConsensusProtocol", "Delivery", "DeliveryStream", "NodeMetrics",
-    "SharedTxPool", "committed_node_metrics", "get", "names", "register",
-    "resolve",
+    "PooledReplicaMixin", "PooledReplicaProtocol", "SharedTxPool",
+    "committed_node_metrics", "get", "names", "register", "resolve",
 ]
 
 
@@ -106,20 +108,17 @@ class ConsensusProtocol(abc.ABC):
     @abc.abstractmethod
     def build_nodes(self, env: "Environment", network: "Network",
                     keystore: "KeyStore", config: "FireLedgerConfig",
-                    rng: random.Random,
-                    byzantine_nodes: frozenset[int] = frozenset(),
-                    adversary=None) -> list:
+                    rng: random.Random, adversary=None) -> list:
         """Create one node object per ``config.n_nodes``.
 
         ``rng`` is the run's root random source — draw per-node seeds from it
         (``rng.randrange(2 ** 62)``) so runs stay deterministic per seed.
         ``adversary`` is the run's bound
-        :class:`~repro.adversary.base.AdversaryStrategy` (None on fault-free
-        runs); implementations consult its ``worker_factory(self.name)`` for
+        :class:`~repro.adversary.base.AdversaryStrategy` (None without
+        Byzantine nodes); its ``nodes`` are the Byzantine membership.
+        Implementations consult its ``worker_factory(self.name)`` for
         misbehaving worker substitution and ``is_silent(node_id, self.name)``
-        for nodes whose process must never start.  ``byzantine_nodes`` is the
-        same membership as ``adversary.nodes``, kept as a plain set for
-        implementations that only need the ids.
+        for nodes whose process must never start.
         """
 
     @abc.abstractmethod
@@ -221,7 +220,7 @@ def committed_node_metrics(node, duration: float,
                            totals: Optional[dict] = None) -> NodeMetrics:
     """Build :class:`NodeMetrics` from a replica's ``committed`` record list.
 
-    Shared by the leader-driven baselines: filters the records (anything with
+    Shared by the leader-driven protocols: filters the records (anything with
     ``tx_count`` / ``proposed_at`` / ``committed_at`` fields) to the node's
     measurement window and derives rates, latency samples and the
     ``blocks_committed`` / ``transactions_committed`` means.
@@ -245,6 +244,129 @@ def committed_node_metrics(node, duration: float,
         totals=dict(totals or {}),
         means=means,
     )
+
+
+class PooledReplicaMixin:
+    """Replica surface shared by the leader-driven protocols.
+
+    HotStuff and BFT-SMaRt replicas expose the same duck-typed workload
+    surface the clients in :mod:`repro.workload.clients` drive — a
+    ``submit_transaction`` feeding the cluster-wide :class:`SharedTxPool`
+    plus delivered-work counters — and the same batch-draining rule for
+    ``fill_blocks=False`` configs.  A concrete replica provides ``env``,
+    ``tx_size``, ``batch_size``, ``fill_blocks``, ``pool``, a
+    ``delivery_stream`` (whose counters back the delivered-work
+    properties), and sets ``HEADER_OVERHEAD`` to its wire format's
+    per-batch framing bytes.
+    """
+
+    #: Per-batch framing bytes of the concrete protocol's wire format.
+    HEADER_OVERHEAD = 0
+
+    #: Fail-stop adversary model: a silent replica never runs its process.
+    #: Set by :meth:`silence`; the protocol adapters skip silent replicas
+    #: in ``start()``.
+    silent = False
+
+    def silence(self, network) -> None:
+        """Turn this replica into a fail-stop (silent) node.
+
+        A silent replica drops traffic at the network layer (like a crashed
+        node would); buffering a whole run's broadcasts in a never-drained
+        inbox would only grow memory.
+        """
+        self.silent = True
+        network.endpoint(self.node_id).router = lambda message: None
+
+    def submit_transaction(self, size_bytes: Optional[int] = None,
+                           client_id: int = 0,
+                           payload_seed: Optional[int] = None,
+                           sender: Optional[int] = None,
+                           recipient: Optional[int] = None,
+                           amount: int = 0,
+                           nonce: int = 0) -> Optional[Transaction]:
+        """Client write request, queued on the cluster-wide pending pool.
+
+        Returns None when the pool is at its ``max_pending`` cap, mirroring
+        FLO's backpressure so capped scenarios drive all protocols alike.
+        The optional transfer fields feed the execution layer when the pool
+        carries transactions (execution-enabled runs).
+        """
+        transaction = Transaction.create(client_id=client_id,
+                                         size_bytes=size_bytes or self.tx_size,
+                                         now=self.env.now,
+                                         payload_seed=payload_seed,
+                                         sender=sender, recipient=recipient,
+                                         amount=amount, nonce=nonce)
+        if self.pool is not None and not self.pool.submit(transaction):
+            return None
+        return transaction
+
+    @property
+    def delivered_blocks(self) -> int:
+        return self.delivery_stream.deliveries
+
+    @property
+    def delivered_transactions(self) -> int:
+        return self.delivery_stream.transactions
+
+    def _next_batch(self) -> "tuple[int, tuple]":
+        """``(tx_count, transactions)`` for the next proposal: a full batch
+        of synthetic transactions when saturated, otherwise whatever the
+        client pool has pending (possibly zero — an empty batch keeps the
+        pipeline's cadence observable, exactly like FireLedger's empty
+        blocks).  The transactions tuple is non-empty only when the shared
+        pool carries them (execution-enabled runs)."""
+        if self.fill_blocks or self.pool is None:
+            return self.batch_size, ()
+        return self.pool.take_transactions(self.batch_size)
+
+    def _batch_bytes(self, tx_count: int) -> int:
+        return tx_count * self.tx_size + self.HEADER_OVERHEAD
+
+
+class PooledReplicaProtocol(ConsensusProtocol):
+    """Adapter shared by the leader-driven protocols.
+
+    Every replica of a run shares one :class:`SharedTxPool` and one
+    :class:`~repro.crypto.cost_model.CryptoCostModel`; replicas the run's
+    adversary marks silent are fail-stop (:meth:`PooledReplicaMixin.silence`).
+    A subclass sets ``replica_class`` and ``timeout_counter`` (the replica
+    attribute counting timed-out views or instances, reported in the
+    breakdown), returns its constructor options from :meth:`replica_options`
+    and implements :meth:`start`.
+    """
+
+    replica_class: type
+    timeout_counter: str
+
+    def replica_options(self) -> dict:
+        """Extra keyword arguments for every replica (timeouts)."""
+        return {}
+
+    def build_nodes(self, env, network, keystore, config, rng,
+                    adversary=None) -> list:
+        cost = CryptoCostModel(config.machine)
+        pool = SharedTxPool(max_pending=config.pool_max_pending,
+                            carry_transactions=config.execute_transactions)
+        replicas = [
+            self.replica_class(env, network, node_id, keystore, config.f,
+                               config.batch_size, config.tx_size, cost,
+                               pool=pool, fill_blocks=config.fill_blocks,
+                               **self.replica_options())
+            for node_id in range(config.n_nodes)
+        ]
+        if adversary is not None:
+            for replica in replicas:
+                if adversary.is_silent(replica.node_id, self.name):
+                    replica.silence(network)
+        return replicas
+
+    def node_metrics(self, node, duration: float) -> NodeMetrics:
+        return committed_node_metrics(
+            node, duration,
+            totals={self.timeout_counter: getattr(node, self.timeout_counter),
+                    "signatures": node.signatures})
 
 
 _PROTOCOLS: dict[str, ConsensusProtocol] = {}

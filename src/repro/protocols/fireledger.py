@@ -27,10 +27,8 @@ class FireLedgerProtocol(ConsensusProtocol):
     """The paper's protocol: FLO nodes running FireLedger worker instances."""
 
     name = "fireledger"
-    min_nodes = 4
 
     def build_nodes(self, env, network, keystore, config, rng,
-                    byzantine_nodes: frozenset[int] = frozenset(),
                     adversary=None) -> list[FLONode]:
         worker_factory = None
         if adversary is not None:

@@ -9,7 +9,7 @@ experiment registry as ``scenario:<name>``.  See ARCHITECTURE.md and the
 "Writing a scenario" section of README.md.
 """
 
-from repro.scenarios.faultplan import (
+from repro.faults import (
     FaultPhase,
     FaultSchedule,
     byzantine,

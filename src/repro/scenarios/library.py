@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.scenarios import faultplan
+from repro.faults import FaultSchedule, byzantine, crash, loss, recover
 
 if TYPE_CHECKING:  # runtime import would cycle through the registry
     from repro.experiments.harness import ExperimentScale
@@ -161,12 +161,12 @@ _add(ScenarioSpec(
     topology=TopologySpec(kind="lan"),
     workload=WorkloadSpec(shape="saturated"),
     execution=ExecutionSpec(enabled=True),
-    faults=faultplan.FaultSchedule(phases=(
-        faultplan.crash(3, at=0.30),
-        faultplan.recover(3, at=0.60),
-        faultplan.crash(2, at=0.80),
-        faultplan.recover(2, at=1.10),
-        faultplan.crash(1, at=1.30),
+    faults=FaultSchedule(phases=(
+        crash(3, at=0.30),
+        recover(3, at=0.60),
+        crash(2, at=0.80),
+        recover(2, at=1.10),
+        crash(1, at=1.30),
     )),
 ))
 
@@ -198,9 +198,9 @@ _add(ScenarioSpec(
     topology=TopologySpec(kind="lan"),
     workload=WorkloadSpec(shape="saturated"),
     execution=ExecutionSpec(enabled=True),
-    faults=faultplan.FaultSchedule(phases=(
-        faultplan.byzantine((5, 6)),
-        faultplan.loss(0.05, start=0.4, end=0.8),
+    faults=FaultSchedule(phases=(
+        byzantine((5, 6)),
+        loss(0.05, start=0.4, end=0.8),
     )),
 ))
 
@@ -217,8 +217,8 @@ _add(ScenarioSpec(
     topology=TopologySpec(kind="lan"),
     workload=WorkloadSpec(shape="saturated"),
     execution=ExecutionSpec(enabled=True),
-    faults=faultplan.FaultSchedule(phases=(
-        faultplan.byzantine((5, 6)),
+    faults=FaultSchedule(phases=(
+        byzantine((5, 6)),
     )),
 ))
 

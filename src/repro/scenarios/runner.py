@@ -3,11 +3,11 @@
 The runner translates the declarative spec into the concrete knobs of
 :func:`~repro.core.cluster.run_cluster`: protocol -> registered
 :class:`~repro.protocols.base.ConsensusProtocol`, topology -> latency
-model, workload -> ``fill_blocks`` / client population, fault schedule ->
-timed crash/recover events + fault controller + Byzantine membership +
-metric-exclusion set.  It returns plain result-row dicts shaped like the
-figure drivers', so scenarios plug into the experiment registry, the sweep
-engine and the report renderer unchanged — for any protocol.
+model, workload -> ``fill_blocks`` / client population; the fault schedule
+and the adversary spec pass through unchanged.  It returns plain result-row
+dicts shaped like the figure drivers', so scenarios plug into the
+experiment registry, the sweep engine and the report renderer unchanged —
+for any protocol.
 """
 
 from __future__ import annotations
@@ -112,15 +112,13 @@ def run_scenario(spec: ScenarioSpec,
     config_kwargs.update(config_overrides)
     config = FireLedgerConfig(**config_kwargs)
 
-    schedule = spec.faults
     workload_box: list = []
 
     def _setup(env, network, nodes) -> None:
-        schedule.install(env, network)
         # Clients avoid known-Byzantine endpoints: under the baselines those
         # replicas are silent (fail-stop model) and would never advance a
         # closed-loop client's delivered_transactions counter.
-        byzantine = schedule.byzantine_nodes
+        byzantine = spec.faults.byzantine_nodes
         targets = [node for node in nodes if node.node_id not in byzantine]
         workload = spec.workload.build(env, targets or nodes, seed=seed,
                                        execution=spec.execution)
@@ -128,12 +126,6 @@ def run_scenario(spec: ScenarioSpec,
             workload_box.append(workload)
 
     backend = backend or "sim"
-    # Bind the spec's adversary to the fault schedule's membership and timed
-    # windows; None without Byzantine nodes (the strategy would be inert).
-    strategy = None
-    if schedule.byzantine_nodes:
-        strategy = spec.adversary.build(schedule.byzantine_nodes,
-                                        windows=schedule.byzantine_windows())
     result = run_cluster(
         config,
         protocol=spec.protocol,
@@ -141,11 +133,9 @@ def run_scenario(spec: ScenarioSpec,
         warmup=spec.warmup,
         seed=seed,
         latency_model=spec.topology.build(spec.n_nodes),
-        byzantine_nodes=schedule.byzantine_nodes or None,
-        adversary=strategy,
-        fault_controller=schedule.controller(),
+        faults=spec.faults,
+        adversary=spec.adversary,
         setup=_setup,
-        excluded_nodes=schedule.excluded_nodes(),
         backend=backend,
     )
 

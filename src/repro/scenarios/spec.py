@@ -9,7 +9,7 @@ A :class:`ScenarioSpec` composes three orthogonal dimensions —
 * :class:`WorkloadSpec` — how load arrives: saturated blocks (the paper's
   mode), open-loop Poisson clients, closed-loop clients, bursty or ramped
   arrival rates, optionally hotspot-skewed across nodes;
-* :class:`~repro.scenarios.faultplan.FaultSchedule` — what goes wrong and
+* :class:`~repro.faults.FaultSchedule` — what goes wrong and
   when: timed crash/recover, partition / loss / slow-link windows, Byzantine
   membership.
 
@@ -29,7 +29,7 @@ from repro.net.latency import (
     SingleDatacenterLatency,
     WanTopologyLatency,
 )
-from repro.scenarios.faultplan import FaultSchedule
+from repro.faults import FaultSchedule
 from repro.workload.clients import (
     BurstRate,
     ClientWorkload,
@@ -607,7 +607,7 @@ class ScenarioSpec:
         if faults is not None and not isinstance(faults, FaultSchedule):
             # Accept both {"phases": [...]} and a bare phase list.
             phases = faults["phases"] if isinstance(faults, Mapping) else faults
-            kwargs["faults"] = FaultSchedule.from_dicts(phases)
+            kwargs["faults"] = FaultSchedule(tuple(phases))
         if "adversary" in kwargs and not isinstance(kwargs["adversary"],
                                                     AdversarySpec):
             kwargs["adversary"] = AdversarySpec.from_dict(kwargs["adversary"])

@@ -39,8 +39,9 @@ STRATEGY_COUNTERS = {
 }
 
 
-def _run(strategy: str, protocol: str = "fireledger", lanes: int = 1,
-         seed: int = 7, **kwargs):
+def _run(strategy, protocol: str = "fireledger", lanes: int = 1,
+         seed: int = 7, faults: FaultSchedule = FaultSchedule((byzantine(3),)),
+         **kwargs):
     config = FireLedgerConfig(n_nodes=4, workers=1, batch_size=10,
                               tx_size=512, execute_transactions=True,
                               lanes=lanes)
@@ -50,8 +51,20 @@ def _run(strategy: str, protocol: str = "fireledger", lanes: int = 1,
         from repro.protocols.hotstuff import HotStuffProtocol
         protocol = HotStuffProtocol(view_timeout=0.15)
     return run_cluster(config, protocol=protocol, duration=1.0, warmup=0.1,
-                       seed=seed, byzantine_nodes=frozenset({3}),
-                       adversary=strategy, **kwargs)
+                       seed=seed, faults=faults, adversary=strategy, **kwargs)
+
+
+class _Keep:
+    """An adversary spec that keeps the strategy ``run_cluster`` binds with
+    it, so a test can inspect the bound instance after the run."""
+
+    def __init__(self, strategy_class) -> None:
+        self.strategy_class = strategy_class
+        self.strategy = None
+
+    def build(self, nodes, windows=None):
+        self.strategy = self.strategy_class(nodes, windows)
+        return self.strategy
 
 
 # ------------------------------------------------------------------ registry
@@ -144,9 +157,10 @@ def test_delayed_release_slows_but_preserves_safety():
 
 
 def test_selective_omission_defaults_to_lowest_honest_victim():
-    strategy = adversary.build("selective-omission", nodes=frozenset({3}))
-    result = _run(strategy)
-    assert strategy.victims == frozenset({0})
+    spec = _Keep(adversary.get("selective-omission"))
+    result = _run(spec)
+    assert spec.strategy.nodes == frozenset({3})
+    assert spec.strategy.victims == frozenset({0})
     assert result.breakdown["adversary_withheld_msgs"] > 0
 
 
@@ -159,9 +173,9 @@ def test_churn_cycles_departures_and_rejoins():
 
 def test_churn_respects_timed_windows():
     """A window starting mid-run delays the first departure past ``at``."""
-    strategy = adversary.build("churn", nodes=frozenset({3}),
-                               windows={3: ((0.3, 0.45),)})
-    result = _run(strategy)
+    spec = _Keep(adversary.get("churn"))
+    result = _run(spec, faults=FaultSchedule((byzantine(3, at=0.3, until=0.45),)))
+    assert spec.strategy.windows == {3: ((0.3, 0.45),)}
     assert result.breakdown["adversary_departures"] >= 1
 
 
@@ -172,7 +186,7 @@ def test_adversary_instance_passthrough():
         def counters(self):
             return {"adversary_probe": 1.0}
 
-    result = _run(Probe(nodes=frozenset({3})))
+    result = _run(_Keep(Probe))
     assert result.breakdown["adversary_probe"] == 1.0
 
 
@@ -202,26 +216,49 @@ def test_implicit_adversary_keeps_row_shape():
     assert not any(key.startswith("adversary") for key in row)
 
 
-def test_byzantine_minority_reproduces_committed_rows():
-    """Field-identity against the committed records: every committed field
-    must match a fresh run exactly (the fresh row may add columns that
-    postdate the record, e.g. ``lanes``)."""
+def _committed_records(experiment: str) -> dict:
+    """The committed records of ``experiment`` by ``config_id`` (the last
+    record of a configuration wins, as on resume)."""
     records = {}
-    with open(RESULTS / "scenario--byzantine-minority.jsonl") as handle:
+    with open(sweep.results_path(RESULTS, experiment)) as handle:
         for line in handle:
             record = json.loads(line)
-            records[record["config_id"]] = record  # last record wins (dedup)
+            records[record["config_id"]] = record
     assert records
-    for record in records.values():
-        lanes = record["params"].get("lanes")
-        (fresh,) = run_scenario(library.get("byzantine-minority"),
-                                scale=ExperimentScale(), lanes=lanes,
-                                seed=record["seed"])
-        (committed,) = record["rows"]
+    return records
+
+
+def _assert_field_identical(fresh_rows: list, record: dict) -> None:
+    """Every committed field must match a fresh run exactly (fresh rows may
+    add columns that postdate the record, e.g. ``lanes``)."""
+    fresh_rows = json.loads(json.dumps(fresh_rows))  # as a record reads back
+    assert len(fresh_rows) == len(record["rows"])
+    for index, (fresh, committed) in enumerate(zip(fresh_rows, record["rows"])):
         for key, value in committed.items():
             assert fresh[key] == value, (
-                f"drift on {key!r} for config {record['config_id']}: "
+                f"drift on row {index} {key!r} for config {record['config_id']}: "
                 f"fresh={fresh[key]!r} committed={value!r}")
+
+
+def test_byzantine_minority_reproduces_committed_rows():
+    for record in _committed_records("scenario:byzantine-minority").values():
+        lanes = record["params"].get("lanes")
+        fresh = run_scenario(library.get("byzantine-minority"),
+                             scale=ExperimentScale(), lanes=lanes,
+                             seed=record["seed"])
+        _assert_field_identical(fresh, record)
+
+
+@pytest.mark.parametrize("experiment", ["table1", "fig11", "fig12", "fig13"])
+def test_fault_and_geo_drivers_reproduce_committed_rows(experiment):
+    """The crash, Byzantine and geo inputs of these drivers go through the
+    one fault schedule and an explicit latency model; their default-scale
+    rows must still match the committed record field for field."""
+    spec = registry.get(experiment)
+    scale = ExperimentScale()
+    wanted = sweep.config_id(spec.name, scale, {}, spec.axis_defaults)
+    _assert_field_identical(spec.run(scale),
+                            _committed_records(experiment)[wanted])
 
 
 def test_adversary_axis_canonicalises_to_committed_config_id():

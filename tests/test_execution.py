@@ -45,14 +45,12 @@ def test_state_root_agrees_across_honest_nodes(scenario, protocol):
 def test_recovered_node_replays_to_the_identical_root(cluster_result):
     """A node that crashes and recovers freezes its executor mid-run; the
     oracle still finds its whole executed prefix identical to the others'."""
-    from repro.scenarios import faultplan
+    from repro.faults import FaultSchedule, crash, recover
 
-    schedule = faultplan.FaultSchedule(phases=(
-        faultplan.crash(3, at=0.2), faultplan.recover(3, at=0.4)))
     result = cluster_result(
         batch_size=50, execute_transactions=True,
         duration=0.8, warmup=0.1, seed=7,
-        setup=lambda env, network, nodes: schedule.install(env, network))
+        faults=FaultSchedule((crash(3, at=0.2), recover(3, at=0.4))))
     impl = protocols.get("fireledger")
     executors = [impl.executor_of(node) for node in result.nodes]
     assert all(executor is not None for executor in executors)

@@ -3,16 +3,18 @@
 import pytest
 
 from repro import FireLedgerConfig, run_cluster
-from repro.adversary import EquivocatingWorker, build as build_adversary
+from repro.adversary import EquivocatingWorker
 from repro.core.failure_detector import BenignFailureDetector
-from repro.faults import CrashSchedule
+from repro.experiments.figures import _crash_f
+from repro.experiments.harness import ExperimentScale
+from repro.faults import FaultSchedule, byzantine, crash, partition
 
 
 @pytest.fixture(scope="module")
 def byzantine_result():
     config = FireLedgerConfig(n_nodes=4, workers=1, batch_size=10, tx_size=512)
     return run_cluster(config, duration=1.5, warmup=0.2, seed=13,
-                       byzantine_nodes=frozenset({3}))
+                       faults=FaultSchedule((byzantine(3),)))
 
 
 def test_equivocation_triggers_recoveries(byzantine_result):
@@ -38,7 +40,7 @@ def test_progress_continues_despite_equivocation():
     Byzantine node proposes 10% of the rounds, as in the paper's setup)."""
     config = FireLedgerConfig(n_nodes=10, workers=1, batch_size=100, tx_size=512)
     result = run_cluster(config, duration=1.0, warmup=0.2, seed=5,
-                         byzantine_nodes=frozenset({9}))
+                         faults=FaultSchedule((byzantine(9),)))
     assert result.tps > 1000
     assert result.recoveries > 0
 
@@ -46,7 +48,7 @@ def test_progress_continues_despite_equivocation():
 def test_byzantine_worker_splits_cluster_into_two_groups():
     config = FireLedgerConfig(n_nodes=4, workers=1, batch_size=10, tx_size=512)
     result = run_cluster(config, duration=0.4, warmup=0.1, seed=3,
-                         byzantine_nodes=frozenset({0}))
+                         faults=FaultSchedule((byzantine(0),)))
     byzantine_node = result.nodes[0]
     worker = byzantine_node.workers[0]
     assert isinstance(worker, EquivocatingWorker)
@@ -56,10 +58,10 @@ def test_byzantine_worker_splits_cluster_into_two_groups():
 
 
 def test_adversary_strategy_only_affects_listed_nodes():
-    strategy = build_adversary("equivocate", nodes=frozenset({2}))
     config = FireLedgerConfig(n_nodes=4, workers=1, batch_size=10, tx_size=512)
     result = run_cluster(config, duration=0.3, warmup=0.1, seed=3,
-                         byzantine_nodes=frozenset({2}), adversary=strategy)
+                         faults=FaultSchedule((byzantine(2),)),
+                         adversary="equivocate")
     for node in result.nodes:
         is_byz = isinstance(node.workers[0], EquivocatingWorker)
         assert is_byz == (node.node_id == 2)
@@ -78,10 +80,25 @@ def test_rescinded_blocks_are_replaced_not_duplicated(byzantine_result):
 
 # ----------------------------------------------------------- crash schedules
 def test_crash_schedule_builder():
-    schedule = CrashSchedule.crash_f_nodes(10, 3, at=1.0)
-    assert schedule.crashed_nodes == frozenset({7, 8, 9})
-    with pytest.raises(ValueError):
-        CrashSchedule.crash_f_nodes(4, 4, at=1.0)
+    """The figure drivers crash the last f nodes half-way through warmup."""
+    config = FireLedgerConfig(n_nodes=10)
+    schedule = _crash_f(config, ExperimentScale(warmup=1.0))
+    assert schedule == FaultSchedule((crash(range(7, 10), at=0.5),))
+    assert schedule.excluded_nodes() == frozenset({7, 8, 9})
+
+
+@pytest.mark.parametrize("phase", [
+    crash(7, at=0.1),
+    byzantine(9),
+    partition(((0, 1), (2, 4)), start=0.1, end=0.2),
+], ids=["crash", "byzantine", "partition"])
+def test_out_of_range_fault_nodes_are_rejected_before_the_run(phase):
+    """A node id outside the cluster fails up front; it must neither run a
+    silently fault-free cluster nor fail part-way through the run."""
+    config = FireLedgerConfig(n_nodes=4, workers=1, batch_size=10, tx_size=512)
+    with pytest.raises(ValueError, match="outside a 4-node cluster"):
+        run_cluster(config, duration=0.2, warmup=0.0,
+                    faults=FaultSchedule((phase,)))
 
 
 # --------------------------------------------------------- failure detector

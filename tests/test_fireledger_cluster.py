@@ -3,8 +3,9 @@
 import pytest
 
 from repro import FireLedgerConfig, run_cluster
-from repro.faults.crash import CrashSchedule
+from repro.faults import FaultSchedule, crash
 from repro.metrics.recorder import EVENT_TENTATIVE_DECISION
+from repro.net.latency import GeoDistributedLatency
 
 DURATION = 0.6
 WARMUP = 0.1
@@ -113,19 +114,19 @@ def test_larger_batches_raise_throughput(cluster_result):
 def test_geo_distribution_reduces_block_rate(cluster_result):
     local = cluster_result(seed=9)
     geo = cluster_result(duration=2.0, warmup=0.3, seed=9,
-                         geo_distributed=True)
+                         latency_model=GeoDistributedLatency())
     assert geo.bps < local.bps * 0.2
     assert geo.bps > 0
 
 
 def test_crash_of_f_nodes_does_not_stop_progress(cluster_result):
-    crash = CrashSchedule.crash_f_nodes(4, 1, at=0.05)
+    faults = FaultSchedule((crash(3, at=0.05),))
     result = cluster_result(batch_size=100, duration=1.0, warmup=0.3, seed=4,
-                            crash_schedule=crash)
+                            faults=faults)
     assert result.tps > 0
     assert result.bps > 10
     # Correct nodes still agree.
-    live = [node for node in result.nodes if node.node_id not in crash.crashed_nodes]
+    live = [node for node in result.nodes if node.node_id not in faults.excluded_nodes()]
     heights = [node.workers[0].chain.definite_height for node in live]
     assert min(heights) > 0
 

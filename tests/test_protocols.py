@@ -11,13 +11,13 @@ import pytest
 
 from repro import FireLedgerConfig, run_cluster
 from repro import protocols
-from repro.baselines.hotstuff import COMMIT_DEPTH
 from repro.crypto.cost_model import C5_4XLARGE
 from repro.experiments import registry
 from repro.experiments.harness import ExperimentScale
 from repro.experiments.sweep import config_id
-from repro.faults.crash import CrashSchedule
+from repro.faults import FaultSchedule, byzantine, crash
 from repro.metrics import report
+from repro.protocols.hotstuff import COMMIT_DEPTH
 from repro.scenarios import library
 from repro.scenarios.runner import run_scenario
 
@@ -64,14 +64,15 @@ def test_deprecated_cluster_aliases_are_gone():
     """The pre-protocol-API entry points were removed; run_cluster is the
     single front door for every protocol."""
     import repro
-    import repro.baselines
     import repro.core.cluster
+    import repro.protocols.bftsmart
+    import repro.protocols.hotstuff
 
     for module in (repro, repro.core, repro.core.cluster):
         assert not hasattr(module, "run_fireledger_cluster")
-    for module in (repro.baselines, repro.baselines.hotstuff):
+    for module in (repro.protocols, repro.protocols.hotstuff):
         assert not hasattr(module, "run_hotstuff_cluster")
-    for module in (repro.baselines, repro.baselines.bftsmart):
+    for module in (repro.protocols, repro.protocols.bftsmart):
         assert not hasattr(module, "run_bftsmart_cluster")
 
 
@@ -108,14 +109,13 @@ def test_hotstuff_skips_crashed_leaders_views_and_stays_live():
     from repro.protocols import HotStuffProtocol
 
     n_nodes, crash_at, duration = 4, 1.0, 3.0
-    victim = n_nodes - 1  # crash_f_nodes crashes the last f nodes
+    victim = n_nodes - 1
     config = FireLedgerConfig(n_nodes=n_nodes, batch_size=10, tx_size=256)
-    crash = CrashSchedule.crash_f_nodes(n_nodes, 1, at=crash_at)
     # A protocol *instance* plugs in too — here with a tighter view timeout
     # so the crashed leader's rotations cost 0.1s, not the 1s default.
     result = run_cluster(config, protocol=HotStuffProtocol(view_timeout=0.1),
                          duration=duration, warmup=0.2, seed=3,
-                         crash_schedule=crash)
+                         faults=FaultSchedule((crash(victim, at=crash_at),)))
 
     survivor = result.nodes[0]
     committed_after = [block for block in survivor.committed
@@ -133,7 +133,7 @@ def test_hotstuff_skips_crashed_leaders_views_and_stays_live():
 def test_hotstuff_silent_byzantine_node_exercises_view_skip(cluster_result):
     result = cluster_result(batch_size=10, tx_size=256, protocol="hotstuff",
                             duration=3.0, warmup=0.2, seed=3,
-                            byzantine_nodes=frozenset({2}))
+                            faults=FaultSchedule((byzantine(2),)))
     assert result.blocks_committed > 0
     assert result.breakdown["views_timed_out"] >= 1
     # The silent node never runs, so it commits nothing.
@@ -198,14 +198,13 @@ def test_open_loop_clients_drive_baseline_protocols(protocol):
 def test_closed_loop_clients_avoid_silent_byzantine_replicas():
     """Scenario workloads target only non-Byzantine nodes: a closed-loop
     client pointed at a silent baseline replica would spin forever."""
-    from repro.scenarios import faultplan
     from repro.scenarios.spec import WorkloadSpec
 
     spec = library.get("paper-lan").with_overrides(
         protocol="bftsmart", duration=1.0, warmup=0.2, batch_size=50,
         workload=WorkloadSpec(shape="closed-loop", n_clients=4,
                               think_time=0.001),
-        faults=faultplan.FaultSchedule(phases=(faultplan.byzantine(3),)))
+        faults=FaultSchedule((byzantine(3),)))
     row = run_scenario(spec, seed=2)[0]
     assert row["completed_req"] >= 4  # every client makes progress
 

@@ -8,6 +8,7 @@ import pytest
 from repro.core.cluster import run_cluster
 from repro.core.config import FireLedgerConfig
 from repro.crypto.keys import KeyStore
+from repro.faults import FaultSchedule, byzantine
 from repro.ledger import Batch, Blockchain, ChainVersion, Transaction, TxPool, build_block
 from repro.ledger.chain import PRUNE_SLACK
 from repro.metrics import LatencyHistogram, LatencySummary, MetricsRecorder
@@ -486,11 +487,11 @@ def test_byzantine_recovery_still_works_with_retention(cluster_result):
     result = cluster_result(**BASE, retention_rounds=32,
                             metrics_horizon_rounds=32,
                             duration=1.0, warmup=0.2, seed=7,
-                            byzantine_nodes=frozenset({3}))
+                            faults=FaultSchedule((byzantine(3),)))
     assert result.recoveries > 0
     assert result.tps > 0
     exact = cluster_result(**BASE, duration=1.0, warmup=0.2, seed=7,
-                           byzantine_nodes=frozenset({3}))
+                           faults=FaultSchedule((byzantine(3),)))
     span_keys = {k for k in exact.breakdown if "->" in k}
     assert {"C->D", "D->E"} <= span_keys
     assert {k for k in result.breakdown if "->" in k} == span_keys
